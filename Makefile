@@ -15,12 +15,16 @@
 # `python -m repro bench --out BENCH_detector.json`); scenarios-smoke
 # builds every declarative scenario from its spec, checks planted ground
 # truth end to end, and replays a 1000-request loadgen burst against a
-# live `repro serve`, wired into tier-1 via tests/test_scenarios_smoke.py.
+# live `repro serve`, wired into tier-1 via tests/test_scenarios_smoke.py;
+# perfbench runs the repo benchmark (perfbench/run.py) on its three
+# workloads, pipeline, detect-cell and serve, for one seed (SEED=1 by
+# default; each workload runs 40 s, untraced).
 
 PYTHON ?= python
+SEED ?= 1
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test smoke serve-smoke validate-smoke bench-smoke scenarios-smoke staticpass bench artifacts clean-cache
+.PHONY: test smoke serve-smoke validate-smoke bench-smoke scenarios-smoke staticpass bench perfbench artifacts clean-cache
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -48,6 +52,12 @@ staticpass:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+perfbench:
+	for workload in pipeline detect-cell serve; do \
+		python3 perfbench/run.py --workload $$workload --seed $(SEED) \
+			--seconds 40 --trace 0 || exit 1; \
+	done
 
 artifacts:
 	$(PYTHON) -m repro.experiments all --scale 1.0

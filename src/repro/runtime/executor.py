@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Generator, Optional, Sequence, Tuple
 
 from ..eventlog.events import SyncKind
-from ..layout import is_stack_addr
+from ..layout import TLS_BASE
 from ..tir.addr import resolve_addr
 from ..tir import ops
 from ..tir.program import Program
@@ -195,7 +195,9 @@ class Executor:
         self._mutexes: Dict[int, Mutex] = {}
         self._events: Dict[int, Event] = {}
         self._live_threads = 0
-        self._current: Optional[int] = None
+        #: The runnable tids in tid order, as passed to the scheduler; None
+        #: after a status change until ``run`` rebuilds it.
+        self._runnable: Optional[Tuple[int, ...]] = None
 
     # ------------------------------------------------------------------
     # Cost accounting
@@ -216,28 +218,9 @@ class Executor:
         self.result.sync_log_cycles += cycles
         self.result.clock += cycles
 
-    def _charge_mem_log(self, cycles: int) -> None:
-        self.result.memory_log_cycles += cycles
-        self.result.clock += cycles
-
     # ------------------------------------------------------------------
     # Harness hooks
     # ------------------------------------------------------------------
-    def _hook_entry(self, tid: int, func_name: str) -> bool:
-        self.result.function_calls += 1
-        if self.harness is None:
-            return False
-        instrumented, cycles = self.harness.enter_function(tid, func_name)
-        self._charge_dispatch(cycles)
-        if instrumented:
-            self.result.instrumented_calls += 1
-        return instrumented
-
-    def _hook_memory(self, tid: int, addr: int, pc: int, is_write: bool) -> None:
-        self.result.sampled_memory_ops += 1
-        cycles = self.harness.memory_event(tid, addr, pc, is_write)
-        self._charge_mem_log(cycles)
-
     def _hook_sync(self, tid: int, kind: SyncKind, var: Tuple[str, int],
                    pc: int) -> None:
         self.result.sync_ops += 1
@@ -247,7 +230,7 @@ class Executor:
         self._charge_sync_log(cycles)
 
     # ------------------------------------------------------------------
-    # Thread management
+    # Thread management (every status change invalidates the runnable set)
     # ------------------------------------------------------------------
     def _spawn(self, func_name: str, params: Tuple[int, ...]) -> ThreadState:
         tid = self._next_tid
@@ -257,6 +240,7 @@ class Executor:
         self._threads[tid] = thread
         self._live_threads += 1
         self.result.threads_created += 1
+        self._runnable = None
         return thread
 
     def _finish_thread(self, thread: ThreadState) -> None:
@@ -266,87 +250,146 @@ class Executor:
         for joiner_tid in thread.joiners:
             self._threads[joiner_tid].status = ThreadStatus.RUNNABLE
         thread.joiners.clear()
+        self._runnable = None
 
     def _block(self, thread: ThreadState) -> None:
         thread.status = ThreadStatus.BLOCKED
+        self._runnable = None
 
     def _wake(self, tid: int) -> None:
         self._threads[tid].status = ThreadStatus.RUNNABLE
+        self._runnable = None
 
     def wake_thread(self, tid: int) -> None:
         """Unpark a thread a gate previously parked (gate use only)."""
         self._wake(tid)
 
     # ------------------------------------------------------------------
-    # Interpreter (generator per thread; one yield per instruction)
+    # Interpreter: one flat generator per thread, one yield per step
     # ------------------------------------------------------------------
-    def _thread_body(self, thread: ThreadState, func_name: str,
-                     params: Tuple[int, ...]) -> Generator[None, None, None]:
-        self._hook_sync(thread.tid, SyncKind.THREAD_START,
-                        ("thread", thread.tid), -1)
-        yield
-        yield from self._exec_function(thread, func_name, params)
-
-    def _exec_function(self, thread: ThreadState, func_name: str,
-                       params: Tuple[int, ...]) -> Generator[None, None, None]:
+    def _enter(self, thread: ThreadState, func_name: str,
+               params: Tuple[int, ...]) -> Tuple[Sequence[ops.Instr], Frame, bool]:
+        """Function entry: dispatch hook, new frame, ``call`` charge."""
         func = self.program.function(func_name)
-        instrumented = self._hook_entry(thread.tid, func_name)
+        self.result.function_calls += 1
+        instrumented = False
+        if self.harness is not None:
+            instrumented, cycles = self.harness.enter_function(thread.tid,
+                                                               func_name)
+            self._charge_dispatch(cycles)
+            if instrumented:
+                self.result.instrumented_calls += 1
         frame = Frame(thread, func_name, params, func.num_slots)
         self._charge(self.cost.call)
+        return func.body, frame, instrumented
+
+    def _thread_body(self, thread: ThreadState, func_name: str,
+                     params: Tuple[int, ...]) -> Generator[None, None, None]:
+        """Interpret one thread, yielding at the end of every step.
+
+        The running activation lives in the locals ``block``, ``index``,
+        ``frame``, ``instrumented`` and ``trips``.  A Call or Loop pushes it
+        onto ``stack`` and starts its body; ``trips`` is None for a function
+        body and the iterations still to start for a loop body.  Read,
+        Write, Compute, Call and Loop run inline; every other instruction
+        runs its ``_HANDLERS`` generator.
+
+        Step boundaries: a Call's entry hook and ``call`` charge end a step;
+        a Loop charges ``loop_iter`` as each iteration starts and runs on
+        into its first instruction; a body's end (``exit_function``, the
+        next ``loop_iter``) falls in the step after its last yield.
+        """
+        tid = thread.tid
+        self._hook_sync(tid, SyncKind.THREAD_START, ("thread", tid), -1)
         yield
-        yield from self._exec_block(thread, frame, func.body, instrumented)
-        if self.harness is not None:
-            self.harness.exit_function(thread.tid)
-
-    def _exec_block(self, thread: ThreadState, frame: Frame,
-                    block: Sequence[ops.Instr],
-                    instrumented: bool) -> Generator[None, None, None]:
-        for instr in block:
-            thread.instructions_retired += 1
-            handler = _HANDLERS.get(type(instr))
-            if handler is None:
-                raise TypeError(f"unhandled instruction {instr!r}")
-            yield from handler(self, thread, frame, instr, instrumented)
-
-    # -- instruction handlers (each yields >= 1 time) ---------------------
-    def _do_read(self, thread, frame, instr: ops.Read, instrumented):
-        addr = resolve_addr(instr.addr, frame)
-        if self.gate is not None:
-            yield from self._gate_wait(thread, instr.pc, addr, False)
-        self._account_memory(thread, addr, instr.pc, False, instrumented)
+        result = self.result
+        harness = self.harness
+        gate = self.gate
+        pruned_pcs = self.pruned_pcs
+        memory_op = self.cost.memory_op
+        compute_unit = self.cost.compute_unit
+        loop_iter = self.cost.loop_iter
+        iterations = result.loop_iterations
+        stack = []
+        block, frame, instrumented = self._enter(thread, func_name, params)
+        index, trips = 0, None
         yield
+        while True:
+            if index < len(block):
+                instr = block[index]
+                index += 1
+                kind = type(instr)
+                if kind is ops.Read or kind is ops.Write:
+                    addr = instr.addr
+                    if not isinstance(addr, int):
+                        addr = addr.resolve(frame)
+                    pc = instr.pc
+                    is_write = kind is ops.Write
+                    # Each parked step performs no work and emits no events.
+                    while gate is not None and gate.on_access(tid, pc, addr,
+                                                              is_write):
+                        self._block(thread)
+                        yield
+                    result.memory_ops += 1
+                    if addr < TLS_BASE:  # not is_stack_addr(addr)
+                        result.nonstack_memory_ops += 1
+                    result.baseline_cycles += memory_op
+                    result.clock += memory_op
+                    # Only a harness can pick the instrumented copy.
+                    if instrumented:
+                        if pc in pruned_pcs:
+                            result.pruned_memory_ops += 1
+                        else:
+                            result.sampled_memory_ops += 1
+                            cycles = harness.memory_event(tid, addr, pc,
+                                                          is_write)
+                            result.memory_log_cycles += cycles
+                            result.clock += cycles
+                    yield
+                elif kind is ops.Compute:
+                    cycles = compute_unit * instr.n
+                    result.baseline_cycles += cycles
+                    result.clock += cycles
+                    yield
+                elif kind is ops.Call:
+                    args = tuple(resolve_addr(arg, frame) for arg in instr.args)
+                    stack.append((block, index, frame, instrumented, trips))
+                    block, frame, instrumented = self._enter(thread, instr.func,
+                                                             args)
+                    index, trips = 0, None
+                    yield
+                elif kind is ops.Loop:
+                    count = resolve_addr(instr.count, frame)
+                    if count:
+                        iterations[instr.pc] = iterations.get(instr.pc, 0) + count
+                    if count > 0:
+                        frame.push_loop()
+                        stack.append((block, index, frame, instrumented, trips))
+                        block, index, trips = instr.body, 0, count - 1
+                        result.baseline_cycles += loop_iter
+                        result.clock += loop_iter
+                else:
+                    handler = _HANDLERS.get(kind)
+                    if handler is None:
+                        raise TypeError(f"unhandled instruction {instr!r}")
+                    yield from handler(self, thread, frame, instr, instrumented)
+            elif trips is None:  # function return
+                if harness is not None:
+                    harness.exit_function(tid)
+                if not stack:
+                    return
+                block, index, frame, instrumented, trips = stack.pop()
+            elif trips:  # next loop iteration
+                trips -= 1
+                index = 0
+                frame.advance_loop()
+                result.baseline_cycles += loop_iter
+                result.clock += loop_iter
+            else:  # loop exit
+                frame.pop_loop()
+                block, index, frame, instrumented, trips = stack.pop()
 
-    def _do_write(self, thread, frame, instr: ops.Write, instrumented):
-        addr = resolve_addr(instr.addr, frame)
-        if self.gate is not None:
-            yield from self._gate_wait(thread, instr.pc, addr, True)
-        self._account_memory(thread, addr, instr.pc, True, instrumented)
-        yield
-
-    def _gate_wait(self, thread: ThreadState, pc: int, addr: int,
-                   is_write: bool) -> Generator[None, None, None]:
-        # Each parked yield is a step with no effect and no events; the gate
-        # (via wake_thread) decides when the access may finally proceed.
-        while self.gate.on_access(thread.tid, pc, addr, is_write):
-            self._block(thread)
-            yield
-
-    def _account_memory(self, thread: ThreadState, addr: int, pc: int,
-                        is_write: bool, instrumented: bool) -> None:
-        self.result.memory_ops += 1
-        if not is_stack_addr(addr):
-            self.result.nonstack_memory_ops += 1
-        self._charge(self.cost.memory_op)
-        if instrumented and self.harness is not None:
-            if pc in self.pruned_pcs:
-                self.result.pruned_memory_ops += 1
-            else:
-                self._hook_memory(thread.tid, addr, pc, is_write)
-
-    def _do_compute(self, thread, frame, instr: ops.Compute, instrumented):
-        self._charge(self.cost.compute_unit * instr.n)
-        yield
-
+    # -- handlers of the rarer instructions (each yields >= 1 time) -------
     def _do_io(self, thread, frame, instr: ops.Io, instrumented):
         self._charge_io(resolve_addr(instr.duration, frame))
         yield
@@ -460,37 +503,24 @@ class Executor:
         self.heap.free(base)
         yield
 
-    def _do_call(self, thread, frame, instr: ops.Call, instrumented):
-        params = tuple(resolve_addr(arg, frame) for arg in instr.args)
-        yield from self._exec_function(thread, instr.func, params)
-
-    def _do_loop(self, thread, frame, instr: ops.Loop, instrumented):
-        count = resolve_addr(instr.count, frame)
-        if count:
-            iterations = self.result.loop_iterations
-            iterations[instr.pc] = iterations.get(instr.pc, 0) + count
-        frame.push_loop()
-        try:
-            for _ in range(count):
-                self._charge(self.cost.loop_iter)
-                yield from self._exec_block(thread, frame, instr.body,
-                                            instrumented)
-                frame.advance_loop()
-        finally:
-            frame.pop_loop()
-
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
     def run(self, entry_params: Tuple[int, ...] = ()) -> RunResult:
         """Execute the program to completion; return the run's measurements."""
         self._spawn(self.program.entry, entry_params)
+        threads = self._threads
+        next_thread = self.scheduler.next_thread
+        max_steps = self.max_steps
+        current: Optional[int] = None
         steps = 0
         while True:
-            runnable = [
-                tid for tid, t in self._threads.items()
-                if t.status is ThreadStatus.RUNNABLE
-            ]
+            runnable = self._runnable
+            if runnable is None:
+                runnable = self._runnable = tuple(
+                    tid for tid, t in threads.items()
+                    if t.status is ThreadStatus.RUNNABLE
+                )
             if not runnable:
                 if self.gate is not None and self.gate.release_all():
                     continue  # a parked thread was the only way forward
@@ -503,16 +533,16 @@ class Executor:
                         f"deadlock: threads {blocked} blocked, none runnable"
                     )
                 break  # all threads finished
-            tid = self.scheduler.next_thread(self._current, runnable)
-            thread = self._threads[tid]
-            self._current = tid
+            tid = next_thread(current, runnable)
+            thread = threads[tid]
+            current = tid
             try:
                 next(thread.generator)
             except StopIteration:
                 self._finish_thread(thread)
-                self._current = None
+                current = None
             steps += 1
-            if steps > self.max_steps:
+            if steps > max_steps:
                 raise ExecutionLimitError(
                     f"exceeded max_steps={self.max_steps}"
                 )
@@ -521,9 +551,6 @@ class Executor:
 
 
 _HANDLERS = {
-    ops.Read: Executor._do_read,
-    ops.Write: Executor._do_write,
-    ops.Compute: Executor._do_compute,
     ops.Io: Executor._do_io,
     ops.Lock: Executor._do_lock,
     ops.Unlock: Executor._do_unlock,
@@ -534,6 +561,4 @@ _HANDLERS = {
     ops.AtomicRMW: Executor._do_atomic,
     ops.Alloc: Executor._do_alloc,
     ops.Free: Executor._do_free,
-    ops.Call: Executor._do_call,
-    ops.Loop: Executor._do_loop,
 }

@@ -23,7 +23,10 @@ class Scheduler:
         """Return the tid (from ``runnable``, non-empty) to step next.
 
         ``current`` is the tid that stepped last, or None if it just blocked
-        or finished (or at the very first step).
+        or finished (or at the very first step).  ``runnable`` is a tuple of
+        tids in ascending order that the executor reuses across steps until
+        a thread changes status: implementations must neither mutate it nor
+        keep a reference to it past the call.
         """
         raise NotImplementedError
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from typing import Any, Generator, List, Optional, Tuple
+from typing import Generator, List, Optional, Tuple
 
 from ..layout import tls_base_for
 
@@ -21,10 +21,8 @@ class ThreadStatus(enum.Enum):
 class ThreadState:
     """One simulated thread: identity, TLS base, status and its interpreter.
 
-    ``generator`` is the interpreter coroutine created by the executor; it
-    yields one effect per instruction and is resumed with the effect's
-    result.  ``resume_value`` holds the value to send on the next resume
-    (set when a blocking operation completes).
+    ``generator`` is the thread's interpreter, created by the executor: each
+    ``next()`` on it runs one step of the thread.
     """
 
     __slots__ = (
@@ -32,10 +30,8 @@ class ThreadState:
         "tls_base",
         "status",
         "generator",
-        "resume_value",
         "joiners",
         "entry_function",
-        "instructions_retired",
     )
 
     def __init__(self, tid: int, entry_function: str):
@@ -43,11 +39,9 @@ class ThreadState:
         self.tls_base = tls_base_for(tid)
         self.status = ThreadStatus.RUNNABLE
         self.generator: Optional[Generator] = None
-        self.resume_value: Any = None
         #: tids blocked in ``Join`` waiting for this thread to finish.
         self.joiners: List[int] = []
         self.entry_function = entry_function
-        self.instructions_retired = 0
 
     @property
     def finished(self) -> bool:
