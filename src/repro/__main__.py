@@ -24,8 +24,6 @@ from . import workloads
 from .analysis.tables import format_percent, format_table
 from .core.literace import LiteRace, run_baseline, run_marked
 from .core.samplers import SAMPLER_ORDER
-from .detector.hb import HappensBeforeDetector
-from .eventlog.events import SyncEvent
 
 
 def _cmd_list(args) -> int:
@@ -629,19 +627,12 @@ def _cmd_compare(args) -> int:
         program = workloads.build(args.workload, seed=seed,
                                   scale=args.scale)
         marked = run_marked(program, samplers, seed=seed)
-        full = HappensBeforeDetector()
-        full.feed_all(marked.log.events)
-        reference = full.report.static_races
+        full, by_sampler = marked.detect()
+        reference = full.static_races
         for name in samplers:
-            bit = marked.harness.sampler_bit(name)
-            sub = HappensBeforeDetector()
-            sub.feed_all(
-                e for e in marked.log.events
-                if isinstance(e, SyncEvent) or (e.mask & (1 << bit))
-            )
-            totals[name][0] += len(sub.report.static_races & reference)
+            totals[name][0] += len(by_sampler[name].static_races & reference)
             totals[name][1] += len(reference)
-            esrs[name].append(marked.log.memory_logged_by(bit)
+            esrs[name].append(marked.sampler_memory_count(name)
                               / max(1, marked.log.memory_count))
     rows = []
     for name in samplers:

@@ -26,9 +26,7 @@ from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from ..core.literace import run_marked
 from ..core.samplers import SAMPLER_ORDER
-from ..detector.hb import HappensBeforeDetector
 from ..detector.races import RaceKey
-from ..eventlog.events import SyncEvent
 from ..runtime.cost import DEFAULT_COST_MODEL, CostModel
 from ..runtime.scheduler import RandomInterleaver
 from .. import workloads
@@ -142,12 +140,6 @@ class DetectionStudy:
         return total, rare, freq
 
 
-def _detect(events) -> Set[RaceKey]:
-    detector = HappensBeforeDetector()
-    detector.feed_all(events)
-    return detector.report.static_races
-
-
 def run_detection_cell(
     benchmark: str,
     seed: int,
@@ -168,23 +160,14 @@ def run_detection_cell(
         scheduler=RandomInterleaver(seed, switch_prob=switch_prob),
         cost_model=cost_model, seed=seed,
     )
-    full_detector = HappensBeforeDetector()
-    full_detector.feed_all(marked.log.events)
-    full_races = full_detector.report.static_races
-    rare, frequent = full_detector.report.classify(
-        marked.run.nonstack_memory_ops
-    )
+    full, by_sampler = marked.detect()
+    full_races = full.static_races
+    rare, frequent = full.classify(marked.run.nonstack_memory_ops)
     outcomes: Dict[str, SamplerOutcome] = {}
     for sampler in samplers:
-        bit = marked.harness.sampler_bit(sampler)
-        want = 1 << bit
-        detected = _detect(
-            event for event in marked.log.events
-            if isinstance(event, SyncEvent) or (event.mask & want)
-        )
         outcomes[sampler] = SamplerOutcome(
-            detected=detected & full_races,
-            memory_logged=marked.log.memory_logged_by(bit),
+            detected=by_sampler[sampler].static_races & full_races,
+            memory_logged=marked.sampler_memory_count(sampler),
         )
     return RunDetection(
         benchmark=benchmark,

@@ -125,13 +125,11 @@ class MarkedHarness(Harness):
     def exit_function(self, tid: int) -> None:
         self._mask_stacks[tid].pop()
 
-    def _current_mask(self, tid: int) -> int:
-        stack = self._mask_stacks.get(tid)
-        return stack[-1] if stack else 0
-
     def memory_event(self, tid: int, addr: int, pc: int, is_write: bool) -> int:
+        # Accesses are logged only inside an activation enter_function
+        # opened, so the thread's mask stack is never empty here.
         self.log.append_memory(tid, addr, pc, is_write,
-                               mask=self._current_mask(tid))
+                               self._mask_stacks[tid][-1])
         return self.cost.log_memory
 
     def sync_event(self, tid: int, kind: SyncKind, var: SyncVar, pc: int,

@@ -24,11 +24,13 @@ samplers on one interleaving.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, FrozenSet, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Dict, FrozenSet, Optional, Sequence, Tuple,
+                    Union)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..staticpass import StaticReport
 
+from ..detector.flat import FlatDetector
 from ..detector.hb import HappensBeforeDetector
 from ..detector.merge import merge_thread_logs
 from ..detector.races import RaceReport
@@ -108,6 +110,21 @@ class MarkedRun:
 
     def sampler_memory_count(self, short_name: str) -> int:
         return self.log.memory_logged_by(self.harness.sampler_bit(short_name))
+
+    def detect(self) -> Tuple[RaceReport, Dict[str, RaceReport]]:
+        """Race reports for the full log and for each sampler's sub-log.
+
+        One happens-before pass judges all of them
+        (:meth:`~repro.detector.flat.FlatDetector.feed_marked`); each
+        report equals a separate pass over that sampler's sub-log.
+        """
+        reports = FlatDetector("hb", use_numpy=False).feed_marked(
+            self.log.events, len(self.harness.samplers))
+        by_name: Dict[str, RaceReport] = {}
+        for bit, sampler in enumerate(self.harness.samplers):
+            # First match, as sampler_bit resolves a repeated short name.
+            by_name.setdefault(sampler.short_name, reports[1 + bit])
+        return reports[0], by_name
 
 
 class LiteRace:

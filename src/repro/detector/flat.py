@@ -48,25 +48,23 @@ points share one implementation.
 On clock storage: clock vectors in the inner loops are Python lists, not
 ``array('Q')`` — CPython reads a list element as a pointer load while an
 ``array`` read must box a fresh int, which profiling shows costs more than
-the pointer-sized storage saves.  :class:`~repro.detector.flatclock.FlatClock`
-(``array('Q')``-backed) is the compact exchange/introspection form;
-:meth:`thread_clock` snapshots into it.
+the pointer-sized storage saves.
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..eventlog.encode import _KIND_CODES
 from ..eventlog.events import (
     ACQUIRE_KINDS,
     RELEASE_KINDS,
     Event,
+    SyncEvent,
     SyncKind,
 )
 from ..eventlog.segment import SegmentColumns, columns_from_events
-from .flatclock import FlatClock, TidSlots
+from .flatclock import TidSlots
 from .races import RaceInstance, RaceReport
 
 __all__ = ["FlatDetector", "EPOCH_SHIFT", "EPOCH_CLOCK_MASK"]
@@ -97,6 +95,13 @@ _IS_PAGE = tuple(
     code in (_KIND_CODES[SyncKind.ALLOC_PAGE], _KIND_CODES[SyncKind.FREE_PAGE])
     for code in range(_MAX_CODE + 1)
 )
+#: The same truth tables keyed by SyncKind, for passes over event objects:
+#: kind -> (is_acquire, is_release, is_page).
+_SYNC_RULES = {
+    kind: (kind in ACQUIRE_KINDS, kind in RELEASE_KINDS,
+           kind in (SyncKind.ALLOC_PAGE, SyncKind.FREE_PAGE))
+    for kind in SyncKind
+}
 
 # Per-address state is a small list, not an object: index loads beat
 # attribute descriptors in the inner loop.  Layouts:
@@ -111,8 +116,6 @@ _IS_PAGE = tuple(
 #
 # Packed epochs are never 0 for real accesses (a thread's own clock
 # component starts at 1), so 0 is a safe "absent" and -1 a safe marker.
-_FT_REP, _FT_RPC, _FT_WEP, _FT_WPC, _FT_RMAP = range(5)
-_HB_WEP, _HB_WPC, _HB_READS = range(3)
 
 
 class FlatDetector:
@@ -535,6 +538,140 @@ class FlatDetector:
         self.escalations += escalations
         return skipped
 
+    # -- the §5.3 marked single pass --------------------------------------
+    def feed_marked(self, events: Sequence[Event],
+                    samplers: int) -> List[RaceReport]:
+        """Judge a marked log and each of its ``samplers`` subsets at once.
+
+        View 0 is the whole log; view ``1 + b`` is what sampler bit ``b``
+        would have logged — every sync event plus the memory events whose
+        mask carries bit ``b`` (higher mask bits are ignored).  Returns one
+        report per view, each byte-identical to a reference
+        happens-before pass over that view's stream.
+
+        Every view holds every sync event and memory events never write a
+        clock, so all views share one clock evolution; only the per-address
+        shadow tables are per view.  Each memory event resolves its thread
+        once and is checked against the tables of ``{0} | bits(mask)``.
+
+        Events are read as objects, never copied into columns: the marked
+        log is already the largest structure a §5.3 cell holds.  The pass
+        keys SyncVar clocks by the ``SyncVar`` itself, so it must be the
+        detector's only input; :attr:`report` becomes view 0's report.
+        """
+        if self.algorithm != "hb":
+            raise ValueError("the marked pass reproduces 'hb' only")
+        if self.events_processed:
+            raise ValueError("the marked pass needs a fresh detector")
+        reports = [self.report] + [RaceReport() for _ in range(samplers)]
+        views = [(self._addresses, self.report.record)] + [
+            ({}, report.record) for report in reports[1:]]
+        # mask -> ((address table, record), ...) of the views it reaches.
+        targets_of: Dict[int, tuple] = {}
+        slot_of = self._slot_of
+        ctx = self._ctx
+        epochs = self._epochs
+        tids = self._slots.tids
+        var_clocks = self._var_clocks
+        var_clocks_get = var_clocks.get
+        var_last = self._var_last
+        var_last_get = var_last.get
+        rules = _SYNC_RULES
+        alloc_as_sync = self.alloc_as_sync
+        last_tid = None
+        slot = -1
+        vc = None
+        own = 0
+        me = 0  # this thread's packed epoch: (slot << SHIFT) | own
+        for event in events:
+            tid = event.tid
+            if type(event) is SyncEvent:
+                acquire, release, page = rules[event.kind]
+                if page and not alloc_as_sync:
+                    continue
+                if tid != last_tid:
+                    try:
+                        slot = slot_of[tid]
+                    except KeyError:
+                        slot = self._new_slot(tid)
+                    vc, me, own = ctx[slot]
+                    last_tid = tid
+                # The _batch_hb sync rule, keyed by the SyncVar.
+                key = event.var
+                vvc = var_clocks_get(key)
+                mine = var_last_get(key) == slot
+                if acquire and vvc is not None and not mine:
+                    for j, value in enumerate(vvc):
+                        if value > vc[j]:
+                            vc[j] = value
+                    mine = True
+                    var_last[key] = slot
+                if release:
+                    if vvc is None:
+                        var_clocks[key] = vc.copy()
+                        var_last[key] = slot
+                    elif mine:
+                        vvc[:] = vc
+                    else:
+                        for j, value in enumerate(vc):
+                            if value > vvc[j]:
+                                vvc[j] = value
+                        var_last[key] = -2
+                    own += 1
+                    vc[slot] = own
+                    me = (slot << EPOCH_SHIFT) | own
+                    epochs[slot] = me
+                    ctx[slot] = (vc, me, own)
+                continue
+            if tid != last_tid:
+                try:
+                    slot = slot_of[tid]
+                except KeyError:
+                    slot = self._new_slot(tid)
+                vc, me, own = ctx[slot]
+                last_tid = tid
+            mask = event.mask
+            try:
+                targets = targets_of[mask]
+            except KeyError:
+                targets = targets_of[mask] = tuple(
+                    view for index, view in enumerate(views)
+                    if index == 0 or mask >> (index - 1) & 1)
+            addr = event.addr
+            pc = event.pc
+            is_write = event.is_write
+            # The _batch_hb memory rule, once per view reached.
+            for addresses, record in targets:
+                try:
+                    state = addresses[addr]
+                except KeyError:
+                    state = addresses[addr] = [0, -1, {}]
+                wep = state[0]
+                if wep and wep ^ me > EPOCH_CLOCK_MASK:
+                    wslot = wep >> EPOCH_SHIFT
+                    if (wep & EPOCH_CLOCK_MASK) > vc[wslot]:
+                        record(RaceInstance(
+                            addr=addr, first_tid=tids[wslot], second_tid=tid,
+                            first_pc=state[1], second_pc=pc,
+                            first_is_write=True, second_is_write=is_write))
+                if is_write:
+                    reads = state[2]
+                    if reads:
+                        for rslot, rcp in reads.items():
+                            if rslot != slot and rcp[0] > vc[rslot]:
+                                record(RaceInstance(
+                                    addr=addr, first_tid=tids[rslot],
+                                    second_tid=tid, first_pc=rcp[1],
+                                    second_pc=pc, first_is_write=False,
+                                    second_is_write=True))
+                        reads.clear()
+                    state[0] = me
+                    state[1] = pc
+                else:
+                    state[2][slot] = (own, pc)
+        self.events_processed += len(events)
+        return reports
+
     # -- compatibility shims ----------------------------------------------
     def feed(self, event: Event) -> None:
         """Process one event object (thin shim over the batched loop)."""
@@ -550,27 +687,3 @@ class FlatDetector:
     @property
     def addresses_tracked(self) -> int:
         return len(self._addresses)
-
-    @property
-    def shared_addresses(self) -> int:
-        """Addresses currently escalated to full read maps ('fasttrack')."""
-        if self.algorithm == "fasttrack":
-            return sum(1 for s in self._addresses.values()
-                       if s[_FT_RMAP] is not None)
-        return sum(1 for s in self._addresses.values()
-                   if len(s[_HB_READS]) > 1)
-
-    @property
-    def threads_seen(self) -> int:
-        return len(self._slots)
-
-    @property
-    def tid_slots(self) -> TidSlots:
-        return self._slots
-
-    def thread_clock(self, tid: int) -> Optional[FlatClock]:
-        """A :class:`FlatClock` snapshot of ``tid``'s clock (or None)."""
-        slot = self._slot_of.get(tid)
-        if slot is None:
-            return None
-        return FlatClock(array("Q", self._clocks[slot]))

@@ -1,38 +1,23 @@
-"""Flat vector clocks: array-backed timestamps with dense tid indexing.
+"""Dense thread numbering for the flat vector clocks.
 
 :class:`~repro.detector.vectorclock.VectorClock` is a dict keyed by raw
 thread ids — flexible, but every component read is a hash lookup and every
 clock is a dict object.  The detector hot path (:mod:`repro.detector.flat`)
 instead numbers threads densely in order of first appearance
-(:class:`TidSlots`) and stores each clock as a flat ``array('Q')`` indexed
-by that slot (:class:`FlatClock`): component reads are integer indexing,
-joins are tight pointwise-max loops, and a clock for *n* threads costs
-``8 * n`` bytes instead of a dict of boxed ints — the flat epoch/timestamp
-representation of *Efficient Timestamping for Sampling-based Race
-Detection* (PAPERS.md).
-
-The detectors keep every clock array at exactly ``len(slots)`` entries
-(growing all arrays when a new thread appears), so inner loops index
-without bounds checks.  ``FlatClock`` itself tolerates ragged lengths —
-missing trailing entries read as zero — because standalone users (tests,
-conversions) build clocks incrementally.
-
-``FlatClock`` is mutable and therefore deliberately unhashable, unlike the
-historical ``VectorClock.__hash__`` bug this refactor removes.
+(:class:`TidSlots`) and stores each clock as a flat list indexed by that
+slot: component reads are integer indexing and joins are tight
+pointwise-max loops — the flat epoch/timestamp representation of
+*Efficient Timestamping for Sampling-based Race Detection* (PAPERS.md).
+The detector keeps every clock at exactly ``len(slots)`` entries (growing
+all of them when a new thread appears), so inner loops index without
+bounds checks.
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from .vectorclock import VectorClock
-
-__all__ = ["TidSlots", "FlatClock"]
-
-
-def _zeros(n: int) -> array:
-    return array("Q", bytes(8 * n))
+__all__ = ["TidSlots"]
 
 
 class TidSlots:
@@ -66,114 +51,3 @@ class TidSlots:
 
     def tid_of(self, slot: int) -> int:
         return self.tids[slot]
-
-
-class FlatClock:
-    """A vector clock stored as a flat unsigned-64 array, slot-indexed.
-
-    Semantically equivalent to :class:`VectorClock` with tids replaced by
-    dense slots; entries beyond ``len(values)`` read as zero.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: Optional[Iterable[int]] = None):
-        if isinstance(values, array):
-            self.values = values
-        elif values is None:
-            self.values = array("Q")
-        else:
-            self.values = array("Q", values)
-
-    # -- construction ------------------------------------------------------
-    @classmethod
-    def zeros(cls, n: int) -> "FlatClock":
-        return cls(_zeros(n))
-
-    @classmethod
-    def from_vector_clock(cls, vc: VectorClock, slots: TidSlots) -> "FlatClock":
-        """Re-index a tid-keyed clock onto ``slots`` (assigning as needed)."""
-        pairs = [(slots.assign(tid), clock) for tid, clock in vc.items()]
-        clock = cls.zeros(len(slots))
-        for slot, value in pairs:
-            clock.set(slot, value)
-        return clock
-
-    def to_vector_clock(self, slots: TidSlots) -> VectorClock:
-        """The equivalent tid-keyed clock (zero entries dropped)."""
-        return VectorClock({slots.tid_of(slot): value
-                            for slot, value in enumerate(self.values)
-                            if value})
-
-    # -- reads -------------------------------------------------------------
-    def get(self, slot: int) -> int:
-        values = self.values
-        return values[slot] if slot < len(values) else 0
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def _normalized(self) -> Tuple[int, ...]:
-        """Components with trailing zeros trimmed (the canonical value)."""
-        values = self.values
-        n = len(values)
-        while n and not values[n - 1]:
-            n -= 1
-        return tuple(values[:n])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FlatClock):
-            return NotImplemented
-        return self._normalized() == other._normalized()
-
-    # Mutable: in-place tick/join would silently corrupt any hash container.
-    __hash__ = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ", ".join(f"s{s}:{c}" for s, c in enumerate(self.values) if c)
-        return f"FlatClock({inner})"
-
-    # -- ordering ----------------------------------------------------------
-    def leq(self, other: "FlatClock") -> bool:
-        """Pointwise <=: does every component of self fit under other?"""
-        mine = self.values
-        theirs = other.values
-        limit = len(theirs)
-        for slot, value in enumerate(mine):
-            if value and (slot >= limit or value > theirs[slot]):
-                return False
-        return True
-
-    def happens_before(self, other: "FlatClock") -> bool:
-        return self.leq(other) and self != other
-
-    def concurrent(self, other: "FlatClock") -> bool:
-        return not self.leq(other) and not other.leq(self)
-
-    # -- writes ------------------------------------------------------------
-    def grow(self, n: int) -> None:
-        """Extend with zeros so at least ``n`` components are addressable."""
-        missing = n - len(self.values)
-        if missing > 0:
-            self.values.extend(_zeros(missing))
-
-    def set(self, slot: int, value: int) -> None:
-        self.grow(slot + 1)
-        self.values[slot] = value
-
-    def tick(self, slot: int) -> None:
-        """Advance ``slot``'s component by one."""
-        self.grow(slot + 1)
-        self.values[slot] += 1
-
-    def join(self, other: "FlatClock") -> None:
-        """In-place pointwise max (the effect of an acquire edge)."""
-        theirs = other.values
-        self.grow(len(theirs))
-        mine = self.values
-        for slot, value in enumerate(theirs):
-            if value > mine[slot]:
-                mine[slot] = value
-
-    def copy(self) -> "FlatClock":
-        return FlatClock(array("Q", self.values))

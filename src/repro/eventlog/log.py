@@ -33,7 +33,8 @@ class EventLog:
         self.events: List[Event] = []
         self.sync_count = 0
         self.memory_count = 0
-        #: per-sampler-bit count of logged memory events
+        #: mask value -> count of logged memory events carrying it; one
+        #: increment per event, however many sampler bits the mask holds
         self._mask_counts: Dict[int, int] = {}
 
     # -- appends ---------------------------------------------------------
@@ -49,13 +50,8 @@ class EventLog:
         event = MemoryEvent(tid, addr, pc, is_write, mask)
         self.events.append(event)
         self.memory_count += 1
-        bit = 0
-        remaining = mask
-        while remaining:
-            if remaining & 1:
-                self._mask_counts[bit] = self._mask_counts.get(bit, 0) + 1
-            remaining >>= 1
-            bit += 1
+        counts = self._mask_counts
+        counts[mask] = counts.get(mask, 0) + 1
         return event
 
     # -- views -------------------------------------------------------------
@@ -95,7 +91,8 @@ class EventLog:
 
     def memory_logged_by(self, sampler_bit: int) -> int:
         """How many memory events carry the given sampler's bit."""
-        return self._mask_counts.get(sampler_bit, 0)
+        return sum(count for mask, count in self._mask_counts.items()
+                   if mask >> sampler_bit & 1)
 
     def sync_vars(self) -> Tuple[SyncVar, ...]:
         """The distinct SyncVars appearing in the log, in first-seen order."""

@@ -39,8 +39,6 @@ from ..analysis.tables import format_percent, format_slowdown, format_table
 from ..core.instrument import split_loops
 from ..core.literace import LiteRace, run_baseline, run_marked
 from ..core.samplers import thread_local_adaptive
-from ..detector.hb import HappensBeforeDetector
-from ..eventlog.events import SyncEvent
 from ..runtime.scheduler import RandomInterleaver
 from ..workloads.parsec_like import build_parsec_like
 from ..workloads.synthetic import cas_lock_program, heap_churn_program
@@ -162,19 +160,13 @@ def sampler_sweep(scale: float = 0.5, seeds: Iterable[int] = (1,)) -> str:
         samplers.append(sampler)
     marked = run_marked(program, samplers,
                         scheduler=RandomInterleaver(seed), seed=seed)
-    detector = HappensBeforeDetector()
-    detector.feed_all(marked.log.events)
-    full = detector.report.static_races
+    full_report, by_sampler = marked.detect()
+    full = full_report.static_races
     rows = []
     for index, (label, _) in enumerate(variants):
-        bit = marked.harness.sampler_bit(f"V{index}")
-        sub = HappensBeforeDetector()
-        sub.feed_all(
-            e for e in marked.log.events
-            if isinstance(e, SyncEvent) or (e.mask & (1 << bit))
-        )
-        detected = sub.report.static_races & full
-        esr = marked.log.memory_logged_by(bit) / max(1, marked.log.memory_count)
+        detected = by_sampler[f"V{index}"].static_races & full
+        esr = (marked.sampler_memory_count(f"V{index}")
+               / max(1, marked.log.memory_count))
         rows.append([
             label,
             format_percent(esr),
@@ -244,20 +236,11 @@ def lockset_consumer(scale: float = 0.5, seeds: Iterable[int] = (1,)) -> str:
                         scheduler=RandomInterleaver(seed), seed=seed)
     planted = {k for p in program.planted_races for k in p.keys}
 
-    def run_detectors(events):
-        events = list(events)
-        hb = HappensBeforeDetector()
-        hb.feed_all(events)
-        ls = LocksetDetector()
-        ls.feed_all(events)
-        return hb.report, ls.report
-
-    hb_full, ls_full = run_detectors(marked.log.events)
-    sampled_events = [
-        e for e in marked.log.events
-        if isinstance(e, SyncEvent) or (e.mask & 1)
-    ]
-    hb_sampled, ls_sampled = run_detectors(sampled_events)
+    hb_full, hb_by_sampler = marked.detect()
+    hb_sampled = hb_by_sampler["TL-Ad"]
+    ls_full = LocksetDetector().feed_all(marked.log.events).report
+    ls_sampled = LocksetDetector().feed_all(
+        marked.sampler_log("TL-Ad").events).report
 
     def row(label, hb_report, ls_report):
         hb_true = len(hb_report.static_races & planted)

@@ -28,8 +28,6 @@ from typing import Iterable, List, Mapping, Sequence, Tuple
 
 from ..analysis.tables import format_percent, format_table
 from ..core.literace import run_marked
-from ..detector.hb import HappensBeforeDetector
-from ..eventlog.events import SyncEvent
 from ..scenarios import scenario
 from .common import experiment_main, paper_note
 
@@ -53,15 +51,6 @@ SWEEPS: Tuple[Tuple[str, Tuple[Tuple[str, Mapping], ...]], ...] = (
 )
 
 _SAMPLERS = ("Full", "TL-Ad")
-
-
-def _sampler_races(marked, name: str) -> set:
-    bit = marked.harness.sampler_bit(name)
-    detector = HappensBeforeDetector()
-    detector.feed_all(
-        event for event in marked.log.events
-        if isinstance(event, SyncEvent) or (event.mask & (1 << bit)))
-    return detector.report.static_races
 
 
 def run(scale: float = 1.0, seeds: Iterable[int] = (1, 2, 3),
@@ -91,13 +80,12 @@ def run(scale: float = 1.0, seeds: Iterable[int] = (1, 2, 3),
                 planted |= keys
                 marked = run_marked(program, list(_SAMPLERS), seed=seed)
                 events += len(marked.log.events)
+                _, by_sampler = marked.detect()
                 for name in _SAMPLERS:
-                    races = _sampler_races(marked, name)
-                    found[name] += len(races & keys)
-                    bit = marked.harness.sampler_bit(name)
-                    esr[name] += (marked.log.memory_logged_by(bit)
+                    found[name] += len(by_sampler[name].static_races & keys)
+                    esr[name] += (marked.sampler_memory_count(name)
                                   / max(1, marked.log.memory_count))
-                full_found = _sampler_races(marked, "Full") & keys
+                full_found = by_sampler["Full"].static_races & keys
                 if full_found != keys:
                     violations.append(
                         f"{spec.name} [{label}] seed {seed}: Full missed "
